@@ -23,6 +23,8 @@ from .runner import (SUITES, load_config, load_history, run_scenario,
 USAGE_ERRORS = (BadParameters, UnknownSuite, ParameterDomain, ValueError,
                 OSError)
 
+POINT_OPTIONS = ("--point", "--center")
+
 
 def _point(text):
     parts = text.split(",")
@@ -156,8 +158,24 @@ def build_parser():
     return parser
 
 
+def _fuse_points(argv):
+    """Write ``--point X,Y`` as ``--point=X,Y``.
+
+    argparse reads a separate value that starts with ``-`` (a negative X)
+    as an option, not as the value of ``--point``.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in POINT_OPTIONS and "," in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_fuse_points(argv))
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

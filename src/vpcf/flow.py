@@ -17,6 +17,7 @@ iteration — this is what makes the enclosed area constant to ~1e-13 per
 step instead of drifting at O(dt^2).
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,8 @@ class FlowConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.multiplier not in MULTIPLIERS:
             raise ValueError(f"multiplier must be one of {MULTIPLIERS}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         if not 0 < self.cfl_guard <= 1:
             raise ValueError("cfl_guard must lie in (0, 1]")
 
@@ -82,12 +83,14 @@ class FlowHistory:
     the trapezoid accumulation of ``i2 = integral of kappa_bar^2 dt`` starts
     cleanly at t=0).  ``length_before``/``length_after`` are measured on the
     same mesh within each step, so length monotonicity is not polluted by
-    resampling events.
+    resampling events.  ``caches`` holds ``build_cache`` of each snapshot:
+    a list for a fresh run, a sequence that builds each cache on first
+    access for a history loaded from disk.
     """
 
     config: FlowConfig
     snapshots: list
-    caches: list
+    caches: Sequence
     snap_steps: np.ndarray      # accepted-step index of each snapshot
     step_times: np.ndarray      # (n_steps+1,)
     multipliers: np.ndarray     # (n_steps,) lambda used per accepted step
@@ -189,8 +192,8 @@ def step(curve, config, dt=None, target_area=None, cache=None):
         If the implicit system is singular.
     """
     dt = float(config.dt if dt is None else dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if cache is None:
         cache = build_cache(curve)
 

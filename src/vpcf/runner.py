@@ -5,12 +5,19 @@ parameters at the top level, integrator parameters under ``"flow"``, plus
 ``outdir``, the two cadences and ``seed``.  Unknown keys are rejected so a
 typo cannot silently fall back to a default.
 
-A run directory holds ``snap_<k>.csv`` files (k = accepted-step index, at
-the ``snapshot_every`` cadence plus the final state), ``series.csv`` at the
-``series_every`` cadence, ``steps.npz`` with the per-step scalar records,
-and ``run.json`` with the configuration and the termination summary;
-:func:`load_history` rebuilds a full history from them.  The engine records
-snapshots at the gcd of the two cadences and the writers filter.
+A run directory holds three files: ``run.json`` with the configuration
+and the termination summary, ``series.csv`` at the ``series_every``
+cadence, and ``steps.npz`` with the per-step scalar records plus every kept
+snapshot as one ``(S, N, 2)`` float64 array ``snapshots`` (the
+``snapshot_every`` cadence plus the final state, at the accepted steps
+``snap_steps``).  The engine records snapshots at the gcd of the two
+cadences and the writers filter.  :func:`write_run_directory` builds the
+directory in a temporary sibling and swaps it into place, so a rerun leaves
+no stale file and a failed write leaves the previous run intact; it refuses
+an existing non-empty directory that is not a run directory, and the
+working directory.
+:func:`load_history` rebuilds a full history with one ``np.load``; the
+snapshots' caches are built on first access.
 
 Suites run fixed preset configurations and write ``verify_<name>.txt`` with
 one human detail block plus one ``CERT <name> PASS|FAIL <margin>`` machine
@@ -22,7 +29,10 @@ import dataclasses
 import json
 import math
 import os
-from glob import glob
+import shutil
+import tempfile
+import zipfile
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,7 +43,7 @@ from .diagnostics import (Certificate, DensityQuery, clearing_out_certificate,
                           local_density, series, write_series_csv)
 from .errors import BadParameters, UnknownSuite
 from .flow import FlowConfig, FlowHistory, run
-from .geometry import build_cache, read_snapshot, write_snapshot
+from .geometry import ClosedCurve, build_cache
 from .revolution import (assemble_trilobite, balance_trilobite,
                          hbar_derivative_at_zero, quadrature_integrals,
                          write_trilobite_report)
@@ -103,19 +113,66 @@ def run_scenario(config):
 
 
 def write_run_directory(outdir, config, history):
-    os.makedirs(outdir, exist_ok=True)
+    """Write the run directory ``outdir`` (see the module notes).
+
+    Everything is written into a temporary sibling first, which then
+    replaces ``outdir``; if anything raises, ``outdir`` is left as it was.
+
+    Raises
+    ------
+    BadParameters
+        If ``outdir`` is not a directory, is non-empty without a
+        ``run.json``, or is (or contains) the working directory.
+    """
+    target = os.path.realpath(outdir)
+    if os.path.exists(target):
+        if not os.path.isdir(target):
+            raise BadParameters(f"{outdir!r} exists and is not a directory")
+        if os.listdir(target) and not os.path.isfile(
+                os.path.join(target, "run.json")):
+            raise BadParameters(
+                f"{outdir!r} is not empty and not a run directory "
+                "(no run.json); refusing to replace it")
+        cwd = os.path.realpath(os.getcwd())
+        if os.path.commonpath([target, cwd]) == target:
+            raise BadParameters(
+                f"{outdir!r} holds the working directory; refusing to "
+                "replace it")
+    parent, name = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o777 & ~umask)
+        _write_run_files(tmp, config, history)
+        if os.path.isdir(target):
+            old = tmp + ".old"
+            os.rename(target, old)
+            try:
+                os.rename(tmp, target)
+            except OSError:
+                os.rename(old, target)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.rename(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
+def _write_run_files(outdir, config, history):
     steps = np.asarray(history.snap_steps)
     keep = [i for i, s in enumerate(steps)
             if s % config.snapshot_every == 0 or i == len(steps) - 1]
-    for i in keep:
-        write_snapshot(os.path.join(outdir, f"snap_{int(steps[i]):08d}.csv"),
-                       history.snapshots[i])
 
     cadence = math.gcd(config.snapshot_every, config.series_every)
     write_series_csv(os.path.join(outdir, "series.csv"), series(history),
                      every=max(1, config.series_every // cadence))
 
-    np.savez(os.path.join(outdir, "steps.npz"),
+    path = os.path.join(outdir, "steps.npz")
+    np.savez(path,
              step_times=history.step_times,
              multipliers=history.multipliers,
              kappa_bar_samples=history.kappa_bar_samples,
@@ -127,6 +184,7 @@ def write_run_directory(outdir, config, history):
              snap_steps=steps[keep],
              resample_steps=np.asarray(history.resample_steps,
                                        dtype=np.int64))
+    _append_snapshots(path, [history.snapshots[i].vertices for i in keep])
     meta = {
         "config": dataclasses.asdict(config),
         "termination": history.termination,
@@ -140,26 +198,87 @@ def write_run_directory(outdir, config, history):
         fh.write("\n")
 
 
+def _append_snapshots(path, rows):
+    """Append ``rows`` to the archive ``path`` as one ``snapshots.npy``.
+
+    The member is streamed row by row, so no stacked copy is made.
+    """
+    shape = rows[0].shape
+    for v in rows:
+        if v.shape != shape:
+            raise ValueError(f"snapshot of shape {v.shape} in a run whose "
+                             f"first snapshot has shape {shape}")
+    header = {"descr": "<f8", "fortran_order": False,
+              "shape": (len(rows),) + shape}
+    with zipfile.ZipFile(path, "a") as zf, \
+            zf.open("snapshots.npy", "w", force_zip64=True) as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for v in rows:
+            fh.write(np.ascontiguousarray(v, dtype="<f8"))
+
+
+class _LazyCaches(Sequence):
+    """``build_cache`` of each curve, computed on first access and kept."""
+
+    def __init__(self, curves):
+        self._curves = curves
+        self._caches = [None] * len(curves)
+
+    def __len__(self):
+        return len(self._curves)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._caches[i] is None:
+            self._caches[i] = build_cache(self._curves[i])
+        return self._caches[i]
+
+
 def load_history(outdir):
-    """Rebuild a FlowHistory from a run directory (caches recomputed)."""
+    """Rebuild a FlowHistory from a run directory.
+
+    The snapshots are views into one array read from ``steps.npz``; their
+    caches are built on first access.
+
+    Raises
+    ------
+    BadParameters
+        If ``outdir`` has no ``run.json``, its ``steps.npz`` holds no
+        snapshot array (a directory of ``snap_*.csv`` files written by an
+        older version), the snapshot count disagrees with the recorded
+        snapshot steps, a stored vertex is not finite, or a snapshot step
+        lies outside the recorded steps.
+    """
     meta_path = os.path.join(outdir, "run.json")
     if not os.path.exists(meta_path):
         raise BadParameters(f"{outdir!r} is not a run directory (no run.json)")
     with open(meta_path) as fh:
         meta = json.load(fh)
     config = config_from_dict(meta["config"])
-    rec = np.load(os.path.join(outdir, "steps.npz"))
-    snapshots = [read_snapshot(p)
-                 for p in sorted(glob(os.path.join(outdir, "snap_*.csv")))]
-    if len(snapshots) != len(rec["snap_steps"]):
+    with np.load(os.path.join(outdir, "steps.npz")) as npz:
+        if "snapshots" not in npz.files:
+            raise BadParameters(
+                f"{outdir}: steps.npz holds no snapshots array; the run was "
+                "stored in the older snap_*.csv layout, run it again")
+        rec = {key: npz[key] for key in npz.files}
+    verts, snap_steps = rec["snapshots"], rec["snap_steps"]
+    if verts.ndim != 3 or len(verts) != len(snap_steps):
         raise BadParameters(
-            f"{outdir}: {len(snapshots)} snapshot files but "
-            f"{len(rec['snap_steps'])} recorded steps")
+            f"{outdir}: snapshots of shape {verts.shape} but "
+            f"{len(snap_steps)} recorded snapshot steps")
+    if not np.isfinite(verts).all():
+        raise BadParameters(f"{outdir}: a stored vertex is not finite")
+    if not np.all((snap_steps >= 0) & (snap_steps < len(rec["step_times"]))):
+        raise BadParameters(f"{outdir}: a snapshot step lies outside the "
+                            f"{len(rec['step_times'])} recorded steps")
+    times = rec["step_times"][snap_steps]
+    snapshots = [ClosedCurve(v, time=float(t)) for v, t in zip(verts, times)]
     return FlowHistory(
         config=config.flow,
         snapshots=snapshots,
-        caches=[build_cache(c) for c in snapshots],
-        snap_steps=rec["snap_steps"],
+        caches=_LazyCaches(snapshots),
+        snap_steps=snap_steps,
         step_times=rec["step_times"],
         multipliers=rec["multipliers"],
         kappa_bar_samples=rec["kappa_bar_samples"],

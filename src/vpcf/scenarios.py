@@ -27,8 +27,8 @@ class ScenarioConfig:
     neck_width: float = 0.1      # dumbbell
     path: str = None             # file scenario: snapshot to load
     flow: FlowConfig = field(default_factory=FlowConfig)
-    outdir: str = None
-    snapshot_every: int = 1000   # snap_<k>.csv cadence (accepted steps)
+    outdir: str = None           # run directory, replaced atomically
+    snapshot_every: int = 1000   # steps.npz snapshot cadence (accepted steps)
     series_every: int = 100      # series.csv row cadence (accepted steps)
     seed: int = 0                # reserved for perturbation presets; echoed
 

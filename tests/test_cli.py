@@ -79,6 +79,18 @@ def test_blowup_manual_frame(mcf_dir, capsys):
     assert "invariance defect" in capsys.readouterr().out
 
 
+def test_negative_points_parse(mcf_dir, capsys):
+    code = main(["blowup", "--history", mcf_dir, "--center", "-1,2",
+                 "--time", "0.3", "--lambda", "2.0"])
+    assert code == 0
+    assert "invariance defect" in capsys.readouterr().out
+    for point in (["--point", "-0.3,0.1"], ["--point=-0.3,0.1"]):
+        code = main(["density", "--history", mcf_dir, *point,
+                     "--time", "0.3"])
+        assert code == 0
+        assert "limit:" in capsys.readouterr().out
+
+
 def test_blowup_needs_mode(mcf_dir, capsys):
     assert main(["blowup", "--history", mcf_dir]) == 2
 

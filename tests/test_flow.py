@@ -20,6 +20,16 @@ def test_config_validation():
         FlowConfig(cfl_guard=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_dt_is_refused_up_front(bad):
+    with pytest.raises(ValueError, match="dt and t_end"):
+        FlowConfig(dt=bad)
+    with pytest.raises(ValueError, match="dt and t_end"):
+        FlowConfig(t_end=bad)
+    with pytest.raises(ValueError, match="dt must be"):
+        step(circle(1.0, 64), FlowConfig(), dt=bad)
+
+
 def test_circle_is_stationary_single_step():
     c = circle(1.0, 256)
     new, lam = step(c, FlowConfig(dt=1e-3))
